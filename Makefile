@@ -108,28 +108,33 @@ traffic-gate:
 	$(GO) run ./cmd/splash4-loadgen -mode sim -seed $(TRAFFIC_SEED) -out BENCH_traffic.json
 	@echo "traffic-gate: ok"
 
-# cluster-smoke boots a 3-node splash4d cluster on loopback sockets and
-# drives every clustered behavior in order: consistent-hash routing (same
-# spec → same owner from any entry node), journal shipping to lag zero with
-# byte-identical /compare on all three nodes, work stealing off a pinned
-# backlog, a mid-theft node kill with health-probe reclaim and zero lost
-# accepted jobs, re-routing around the dead node, and stolen-job access-log
-# lines naming both nodes. The summary lands in BENCH_cluster.json.
+# cluster-smoke runs the clustertest.Smoke scenario (internal/cluster/
+# clustertest, the engine shared with cluster-chaos): a 3-node splash4d
+# cluster on loopback sockets driven through every clustered behavior in
+# order: consistent-hash routing (same spec → same owner from any entry
+# node), journal shipping to lag zero with byte-identical /compare on all
+# three nodes, work stealing off a pinned backlog, a mid-theft node kill
+# with health-probe reclaim, re-routing straight to a live stand-in (no
+# failed hop on the entry node), stolen-job access-log lines naming both
+# nodes, lint-clean /metrics, and zero lost accepted jobs. The summary
+# lands in BENCH_cluster.json.
 cluster-smoke:
 	$(GO) run ./cmd/splash4d -cluster-smoke -out BENCH_cluster.json
 	@echo "cluster-smoke: ok"
 
-# cluster-chaos is the partition-tolerance gate: a 3-node in-process cluster
-# behind seeded fault-injecting transports driven through the full failure
-# schedule — baseline census identity, an asymmetric partition during
+# cluster-chaos is the partition-tolerance gate, the clustertest.Chaos
+# scenario over the same engine as cluster-smoke: a 3-node in-process
+# cluster behind seeded fault-injecting transports driven through the full
+# failure schedule — baseline census identity, an asymmetric partition during
 # stealing (completions die in transit, breaker opens, deadline reclaim
 # takes the loans home, heal closes the breaker through a half-open trial),
 # a latency storm that forces hedged journal fetches, and an origin
 # crash-restart whose truncated journal and new generation force the
-# anti-entropy resync. Zero lost jobs, breaker transitions on /metrics, and
-# a byte-identical 3-way /compare are required. The report lands in
-# BENCH_cluster_chaos.json and the per-node fault decision log in
-# cluster-chaos-decisions.jsonl; failures reproduce with the same CHAOS_SEED.
+# anti-entropy resync. Zero lost jobs, breaker transitions on /metrics,
+# lint-clean /metrics on every node, and a byte-identical 3-way /compare
+# are required. The report lands in BENCH_cluster_chaos.json and the
+# per-node fault decision log in cluster-chaos-decisions.jsonl; failures
+# reproduce with the same CHAOS_SEED.
 cluster-chaos:
 	$(GO) run ./cmd/splash4-chaos -cluster -chaos-seed $(CHAOS_SEED) -out BENCH_cluster_chaos.json -decisions cluster-chaos-decisions.jsonl
 	@echo "cluster-chaos: ok"

@@ -5,33 +5,26 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/cluster"
+	"repro/internal/cluster/clustertest"
 	"repro/internal/cluster/netfaulty"
 )
 
 // runCluster is the -cluster mode: the partition-tolerance gate. It drives
-// cluster.RunChaos — a 3-node in-process cluster through the pinned-seed
+// clustertest.Chaos — a 3-node in-process cluster through the pinned-seed
 // fault schedule (asymmetric partition during stealing, latency storm
 // during shipping, origin crash-restart mid-tail) — and writes the report
 // and each node's netfaulty decision log for CI artifacts. Exit is nonzero
 // on any broken invariant; a failure reproduces by rerunning with the same
 // -chaos-seed.
 func runCluster(seed int64, outPath, decisionsPath string) error {
-	rep, err := cluster.RunChaos(cluster.ChaosConfig{
-		Seed: uint64(seed),
-		Logf: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		},
+	rep, err := clustertest.Chaos(uint64(seed), func(format string, args ...any) {
+		fmt.Printf(format+"\n", args...)
 	})
 	if err != nil {
 		return fmt.Errorf("cluster gate (reproduce with -chaos-seed %d): %w", seed, err)
 	}
 	if outPath != "" {
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(raw, '\n'), 0o644); err != nil {
+		if err := clustertest.WriteReport(outPath, rep); err != nil {
 			return fmt.Errorf("writing report: %w", err)
 		}
 	}

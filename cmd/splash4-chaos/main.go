@@ -14,7 +14,7 @@
 //     a silent hang or a clean exit is the failure.
 //
 // A third mode gates the cluster layer: with -cluster the binary runs the
-// 3-node partition-tolerance schedule (cluster.RunChaos) — asymmetric
+// 3-node partition-tolerance schedule (clustertest.Chaos) — asymmetric
 // partition during stealing, latency storm during shipping, origin
 // crash-restart mid-tail — and requires zero lost jobs, observable breaker
 // transitions, and a byte-identical three-way /compare after the heal.

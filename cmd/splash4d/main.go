@@ -24,19 +24,18 @@
 //
 //	splash4d -addr :8724 -node-id a -peers b=http://h2:8724,c=http://h3:8724
 //
-// With -cluster-smoke the binary runs a self-contained 3-node loopback
-// cluster through routing, stealing, a node kill with reclaim, and
-// cluster-wide /compare identity, writing a summary to -out
-// (BENCH_cluster.json). `make cluster-smoke` runs this as the cluster's
-// end-to-end gate.
+// With -cluster-smoke the binary runs the clustertest.Smoke scenario: a
+// self-contained 3-node loopback cluster through routing, stealing, a node
+// kill with reclaim, and cluster-wide /compare identity, writing a summary
+// to -out (BENCH_cluster.json). The scenario fixes its own node
+// configuration, so the pipeline flags do not apply. `make cluster-smoke`
+// runs this as the cluster's end-to-end gate.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -48,6 +47,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/cluster/clustertest"
 	"repro/internal/resultstore"
 	"repro/internal/server"
 	"repro/internal/telemetry"
@@ -83,9 +83,14 @@ func main() {
 		if *out == "" {
 			*out = "BENCH_cluster.json"
 		}
-		if err := runClusterSmoke(*out, cfg, *drainTimeout); err != nil {
+		rep, err := clustertest.Smoke(log.Printf)
+		if err == nil {
+			err = clustertest.WriteReport(*out, rep)
+		}
+		if err != nil {
 			log.Fatalf("splash4d cluster smoke: %v", err)
 		}
+		log.Printf("cluster-smoke: PASS, wrote %s", *out)
 		return
 	}
 	if *out == "" {
@@ -294,48 +299,36 @@ func runSmoke(storePath, outPath, accessLogPath string, cfg server.Config, drain
 		scale    = "test"
 		reps     = 3
 	)
+	var st clustertest.Steps
 	runs := make(map[string]map[string]any)
 	for _, kit := range []string{"classic", "lockfree"} {
 		spec := fmt.Sprintf(`{"workload":%q,"kit":%q,"threads":%d,"scale":%q,"reps":%d,"seed":1}`,
 			workload, kit, threads, scale, reps)
-		id, err := submitRun(base, spec)
-		if err != nil {
-			srv.Close()
-			return fmt.Errorf("%s: %w", kit, err)
-		}
-		view, err := pollDone(base, id, 2*time.Minute)
-		if err != nil {
-			srv.Close()
-			return fmt.Errorf("%s run %s: %w", kit, id, err)
-		}
-		result, ok := view["result"].(map[string]any)
-		if !ok {
-			srv.Close()
-			return fmt.Errorf("%s run %s finished without a result payload", kit, id)
-		}
-		runs[kit] = result
-		log.Printf("smoke: %s/%s done (mean %.3fms)", workload, kit, result["mean_ns"].(float64)/1e6)
-	}
-
-	compare, err := getJSON(base + fmt.Sprintf("/compare?workload=%s&threads=%d&scale=%s&seed=1",
-		workload, threads, scale))
-	if err != nil {
-		srv.Close()
-		return fmt.Errorf("compare: %w", err)
-	}
-	if err := checkMetrics(base); err != nil {
-		srv.Close()
-		return err
-	}
-	// Liveness and readiness must both be green on a healthy instance.
-	for _, probe := range []string{"/healthz", "/readyz"} {
-		if _, err := getJSON(base + probe); err != nil {
-			srv.Close()
-			return fmt.Errorf("probe %s: %w", probe, err)
+		id := st.Admit(base, spec, false)
+		st.AwaitDone(base, id)
+		var view struct{ Result map[string]any }
+		st.GetJSON(base+"/runs/"+id, &view)
+		st.Check(st.Err() != nil || view.Result != nil, "%s run %s finished without a result payload", kit, id)
+		runs[kit] = view.Result
+		if mean, ok := view.Result["mean_ns"].(float64); ok {
+			log.Printf("smoke: %s/%s done (mean %.3fms)", workload, kit, mean/1e6)
 		}
 	}
-	// The pprof surface must answer on the debug listener.
-	if err := checkPprof(dbgBase); err != nil {
+	var compare map[string]any
+	st.GetJSON(base+fmt.Sprintf("/compare?workload=%s&threads=%d&scale=%s&seed=1", workload, threads, scale), &compare)
+	// The exposition must lint clean and carry the pipeline series the run
+	// populated.
+	st.LintMetrics(base)
+	st.Check(st.Metric(base, "splash4d_jobs_completed_total") == 2, "/metrics does not count both runs completed")
+	if m := st.Metrics(base); m != nil {
+		st.Check(m.Families["splash4d_run_duration_seconds"] != nil, "/metrics has no run duration histogram")
+	}
+	// Liveness and readiness must both be green on a healthy instance, and
+	// the pprof surface must answer on the debug listener.
+	for _, probe := range []string{base + "/healthz", base + "/readyz", dbgBase + "/debug/pprof/cmdline"} {
+		st.Get(probe)
+	}
+	if err := st.Err(); err != nil {
 		srv.Close()
 		return err
 	}
@@ -353,9 +346,24 @@ func runSmoke(storePath, outPath, accessLogPath string, cfg server.Config, drain
 	if err := al.Flush(); err != nil {
 		return fmt.Errorf("access log flush: %w", err)
 	}
-	if err := checkAccessLog(accessLogPath, 2); err != nil {
+	var jobs, https int
+	for _, l := range st.AccessLog(accessLogPath) {
+		switch l.Kind {
+		case "http":
+			https++
+		case "job":
+			jobs++
+			st.Check(l.RequestID != "", "access log job line without request_id")
+			if err := telemetry.ChainPhases(l.Spans); err != nil {
+				st.Failf("access log job %s span chain: %v", l.RequestID, err)
+			}
+		}
+	}
+	st.Check(jobs >= 2 && https > 0, "access log has %d job / %d http lines, want >=2 / >=1", jobs, https)
+	if err := st.Err(); err != nil {
 		return err
 	}
+	log.Printf("smoke: access log %s holds %d http + %d job lines with complete span chains", accessLogPath, https, jobs)
 
 	summary := map[string]any{
 		"bench":     "serve-smoke",
@@ -367,158 +375,9 @@ func runSmoke(storePath, outPath, accessLogPath string, cfg server.Config, drain
 		"compare":   compare,
 		"generated": time.Now().UTC().Format(time.RFC3339),
 	}
-	data, err := json.MarshalIndent(summary, "", "  ")
-	if err != nil {
+	if err := clustertest.WriteReport(outPath, summary); err != nil {
 		return err
 	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	log.Printf("smoke: speedup %.3f, wrote %s", compare["speedup"].(float64), outPath)
-	return nil
-}
-
-// submitRun POSTs one spec and returns the accepted job's ID.
-func submitRun(base, spec string) (string, error) {
-	resp, err := http.Post(base+"/runs", "application/json", strings.NewReader(spec))
-	if err != nil {
-		return "", err
-	}
-	body, err := decodeBody(resp)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return "", fmt.Errorf("POST /runs = %d: %v", resp.StatusCode, body["error"])
-	}
-	id, _ := body["id"].(string)
-	if id == "" {
-		return "", fmt.Errorf("POST /runs returned no job id")
-	}
-	return id, nil
-}
-
-// pollDone polls GET /runs/{id} until the job reaches a terminal state.
-func pollDone(base, id string, timeout time.Duration) (map[string]any, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		view, err := getJSON(base + "/runs/" + id)
-		if err != nil {
-			return nil, err
-		}
-		switch view["status"] {
-		case "done":
-			return view, nil
-		case "error":
-			return nil, fmt.Errorf("job failed: %v", view["error"])
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("timed out after %v in state %v", timeout, view["status"])
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-func getJSON(url string) (map[string]any, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	body, err := decodeBody(resp)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s = %d: %v", url, resp.StatusCode, body["error"])
-	}
-	return body, nil
-}
-
-func decodeBody(resp *http.Response) (map[string]any, error) {
-	defer resp.Body.Close()
-	var v map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return nil, fmt.Errorf("decoding response: %w", err)
-	}
-	return v, nil
-}
-
-// checkPprof asserts the debug listener is serving the profiling index.
-func checkPprof(dbgBase string) error {
-	resp, err := http.Get(dbgBase + "/debug/pprof/cmdline")
-	if err != nil {
-		return fmt.Errorf("pprof: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /debug/pprof/cmdline = %d", resp.StatusCode)
-	}
-	return nil
-}
-
-// checkAccessLog asserts the JSONL access log holds wantJobs terminal job
-// lines, each carrying a request ID and a span chain that reaches the
-// publish phase, plus at least one HTTP line.
-func checkAccessLog(path string, wantJobs int) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("access log: %w", err)
-	}
-	var jobs, https int
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		if line == "" {
-			continue
-		}
-		var entry struct {
-			Kind      string           `json:"kind"`
-			RequestID string           `json:"request_id"`
-			Spans     []telemetry.Span `json:"spans"`
-		}
-		if err := json.Unmarshal([]byte(line), &entry); err != nil {
-			return fmt.Errorf("access log line %q: %w", line, err)
-		}
-		switch entry.Kind {
-		case "http":
-			https++
-		case "job":
-			jobs++
-			if entry.RequestID == "" {
-				return fmt.Errorf("access log job line without request_id: %s", line)
-			}
-			if err := telemetry.ChainPhases(entry.Spans); err != nil {
-				return fmt.Errorf("access log job %s span chain: %w", entry.RequestID, err)
-			}
-		}
-	}
-	if jobs < wantJobs || https == 0 {
-		return fmt.Errorf("access log has %d job / %d http lines, want >=%d / >=1", jobs, https, wantJobs)
-	}
-	log.Printf("smoke: access log %s holds %d http + %d job lines with complete span chains", path, https, jobs)
-	return nil
-}
-
-// checkMetrics asserts the Prometheus endpoint is alive and exporting the
-// pipeline series the smoke run must have populated.
-func checkMetrics(base string) error {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /metrics = %d", resp.StatusCode)
-	}
-	text, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	for _, want := range []string{
-		"splash4d_jobs_completed_total",
-		"splash4d_run_duration_seconds_bucket",
-	} {
-		if !strings.Contains(string(text), want) {
-			return fmt.Errorf("/metrics missing %s", want)
-		}
-	}
+	log.Printf("smoke: speedup %v, wrote %s", compare["speedup"], outPath)
 	return nil
 }

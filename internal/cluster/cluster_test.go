@@ -199,7 +199,7 @@ func TestClusterRoutesSameSpecToOneOwner(t *testing.T) {
 		body := specBody("fft", "lockfree", seed)
 		idA := submitTo(t, nodes["a"].base, body, false)
 		idB := submitTo(t, nodes["b"].base, body, false)
-		ownA, ownB := ownerFromJobID(idA), ownerFromJobID(idB)
+		ownA, ownB := JobOwner(idA), JobOwner(idB)
 		if ownA == "" || ownA != ownB {
 			t.Fatalf("seed %d: same spec owned by %q (via a) and %q (via b)", seed, ownA, ownB)
 		}
@@ -248,7 +248,7 @@ func TestClusterStealsFromBackloggedPeer(t *testing.T) {
 		if v["status"] != "done" {
 			t.Fatalf("job %s finished %v, want done", id, v["status"])
 		}
-		if owner := ownerFromJobID(id); owner != "a" {
+		if owner := JobOwner(id); owner != "a" {
 			t.Fatalf("pinned job %s owned by %q, want a", id, owner)
 		}
 		if v["ran_on"] == "b" {
@@ -286,7 +286,7 @@ func TestClusterCompareIsCensusIdenticalAcrossNodes(t *testing.T) {
 		ids = append(ids, submitTo(t, via, specBody("fft", "lockfree", seed), false))
 	}
 	for _, id := range ids {
-		owner := ownerFromJobID(id)
+		owner := JobOwner(id)
 		if v := jobView(t, nodes[owner].base, id); v["status"] != "done" {
 			t.Fatalf("job %s finished %v", id, v["status"])
 		}
@@ -295,7 +295,7 @@ func TestClusterCompareIsCensusIdenticalAcrossNodes(t *testing.T) {
 	// journal is caught up and holds that peer's records.
 	counts := map[string]int{}
 	for _, id := range ids {
-		counts[ownerFromJobID(id)]++
+		counts[JobOwner(id)]++
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for _, n := range nodes {

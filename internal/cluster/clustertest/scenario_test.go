@@ -1,8 +1,6 @@
-package cluster
+package clustertest
 
-import (
-	"testing"
-)
+import "testing"
 
 // TestRunChaosFullSchedule runs the whole pinned-seed chaos gate end to
 // end: baseline census identity, an asymmetric partition during stealing
@@ -18,12 +16,12 @@ func TestRunChaosFullSchedule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos schedule takes seconds; skipped in -short")
 	}
-	rep, err := RunChaos(ChaosConfig{Seed: 42, Dir: t.TempDir(), Logf: t.Logf})
+	rep, err := Chaos(42, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.JobsLost != 0 {
-		t.Fatalf("chaos run lost %d jobs", rep.JobsLost)
+	if rep.JobsLost != 0 || rep.JobsTotal == 0 {
+		t.Fatalf("chaos run lost %d of %d jobs", rep.JobsLost, rep.JobsTotal)
 	}
 	if !rep.CompareIdentical || rep.CompareBytes == 0 {
 		t.Fatalf("final compare not byte-identical: %+v", rep)
@@ -37,8 +35,31 @@ func TestRunChaosFullSchedule(t *testing.T) {
 		t.Fatalf("robustness counters missing from the report: %+v", rep)
 	}
 	// The decision logs are the replay evidence; the directed drops of
-	// phase B must be on c's log.
+	// the partition phase must be on c's log.
 	if len(rep.Faults["c"].Decisions) == 0 {
 		t.Fatal("c's netfaulty decision log is empty")
+	}
+}
+
+// TestSmoke runs the cluster smoke over the real suite: routing,
+// replication with census identity, stealing, a mid-theft node kill with
+// reclaim, re-routing to a live stand-in, and the stolen-job access-log
+// trail. This is the same run `make cluster-smoke` gates CI on.
+func TestSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster smoke runs real workloads for seconds; skipped in -short")
+	}
+	rep, err := Smoke(t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.JobsLost != 0 || rep.JobsTotal == 0 {
+		t.Fatalf("smoke lost %d of %d jobs", rep.JobsLost, rep.JobsTotal)
+	}
+	if !rep.CompareIdentical || len(rep.Compare) == 0 {
+		t.Fatal("survivors' /compare not byte-identical")
+	}
+	if rep.Stolen <= 0 || rep.Donated <= 0 || rep.Reclaimed <= 0 {
+		t.Fatalf("stealing evidence missing: %+v", rep)
 	}
 }

@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"repro/internal/cluster/peernet"
+	"repro/internal/splitmix"
 )
 
 // Fault enumerates the injected fault classes.
@@ -268,14 +269,6 @@ func keyPeer(key string) string {
 	return key
 }
 
-// mix is splitmix64's finalizer: a bijective avalanche over 64 bits.
-func mix(z uint64) uint64 {
-	z += 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // site hashes one (peer, endpoint) pair into the draw space (fnv64a).
 func site(peer, endpoint string) uint64 {
 	h := uint64(14695981039346656037)
@@ -292,7 +285,7 @@ func site(peer, endpoint string) uint64 {
 // roll returns the deterministic uniform draw in [0, 1) for the n-th
 // exchange on site.
 func (t *Transport) roll(site uint64, n int64) float64 {
-	h := mix(mix(t.plan.Seed^site) ^ uint64(n))
+	h := splitmix.Mix(splitmix.Mix(t.plan.Seed^site) ^ uint64(n))
 	return float64(h>>11) / (1 << 53)
 }
 
@@ -369,7 +362,7 @@ func (t *Transport) decide(call *peernet.PeerCall) verdict {
 		}
 	}
 	if t.fire(FaultCut, t.plan.Cut, s, n, call.Peer, call.Endpoint) {
-		v.cut = int(mix(t.plan.Seed^s^uint64(n)) % 256)
+		v.cut = int(splitmix.Mix(t.plan.Seed^s^uint64(n)) % 256)
 	}
 	return v
 }

@@ -103,7 +103,7 @@ func (c *Cluster) routeByID(inner http.Handler) http.Handler {
 			inner.ServeHTTP(w, r)
 			return
 		}
-		owner := ownerFromJobID(r.PathValue("id"))
+		owner := JobOwner(r.PathValue("id"))
 		if owner == "" || owner == c.cfg.Self {
 			inner.ServeHTTP(w, r)
 			return
@@ -119,9 +119,9 @@ func (c *Cluster) routeByID(inner http.Handler) http.Handler {
 	})
 }
 
-// ownerFromJobID extracts the node ID from a clustered job ID
+// JobOwner extracts the owning node ID from a clustered job ID
 // ("r-<node>-<seq>"); "" for single-node IDs ("r-<seq>") or anything else.
-func ownerFromJobID(id string) string {
+func JobOwner(id string) string {
 	if !strings.HasPrefix(id, "r-") {
 		return ""
 	}

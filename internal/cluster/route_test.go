@@ -35,7 +35,7 @@ func TestHopGuardServesLocallyNeverReforwards(t *testing.T) {
 
 	fwd := a.cl.forwardedTotal.Load()
 	id := submitTo(t, a.base, specBody("fft", "lockfree", seed), true) // pin sets the hop guard
-	if owner := ownerFromJobID(id); owner != "a" {
+	if owner := JobOwner(id); owner != "a" {
 		t.Fatalf("hop-guarded submission owned by %q, want local service on a", owner)
 	}
 	if got := a.cl.forwardedTotal.Load(); got != fwd {

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/splitmix"
 	"repro/internal/telemetry"
 )
 
@@ -225,12 +226,8 @@ var genCounter atomic.Uint64
 
 // newGeneration mints a nonzero generation identity.
 func newGeneration() uint64 {
-	z := uint64(time.Now().UnixNano()) + genCounter.Add(1)<<1
-	// splitmix64 finalizer: spread clock adjacency over the word.
-	z += 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
+	// The splitmix64 finalizer spreads clock adjacency over the word.
+	z := splitmix.Mix(uint64(time.Now().UnixNano()) + genCounter.Add(1)<<1)
 	if z == 0 {
 		z = 1
 	}

@@ -29,6 +29,8 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -263,6 +265,17 @@ func New(cfg Config) (*Server, error) {
 		stop:             make(chan struct{}),
 		jobCtx:           ctx,
 		cancelJobs:       cancel,
+	}
+	// A reopened journal's job IDs stay taken: numbering resumes past the
+	// highest sequence it holds, so a restarted node never re-mints an ID
+	// its peers or clients already know.
+	prefix := strings.TrimSuffix(s.jobID(0), "0")
+	for _, rec := range cfg.Store.All() {
+		if rest, ok := strings.CutPrefix(rec.ID, prefix); ok {
+			if n, err := strconv.ParseInt(rest, 10, 64); err == nil && n > s.seq {
+				s.seq = n
+			}
+		}
 	}
 	s.workersWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {

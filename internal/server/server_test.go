@@ -590,3 +590,35 @@ func TestBadRequests(t *testing.T) {
 		t.Fatalf("healthz = %d %v", code, body)
 	}
 }
+
+// TestReopenedJournalKeepsJobIDsTaken restarts a clustered node on its own
+// journal: the restarted server must number past the journaled jobs
+// instead of minting their IDs again.
+func TestReopenedJournalKeepsJobIDsTaken(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	spec := `{"workload":"fft","kit":"lockfree","threads":1,"scale":"test","seed":1,"reps":1}`
+	run := func() string {
+		store, err := resultstore.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		s, err := New(Config{Store: store, NodeID: "a", Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		code, body := postRun(t, ts, spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("POST /runs = %d (%v)", code, body)
+		}
+		id := body["id"].(string)
+		waitStatus(t, ts, id, "done")
+		return id
+	}
+	if first, second := run(), run(); first != "r-a-1" || second != "r-a-2" {
+		t.Fatalf("job IDs across a restart = %q, %q; want r-a-1, r-a-2", first, second)
+	}
+}

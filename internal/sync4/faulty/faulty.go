@@ -44,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/splitmix"
 	"repro/internal/sync4"
 )
 
@@ -196,18 +197,10 @@ func (inj *Injector) Report() Report {
 	return r
 }
 
-// mix is splitmix64's finalizer: a bijective avalanche over 64 bits.
-func mix(z uint64) uint64 {
-	z += 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // roll returns the deterministic uniform draw in [0, 1) for the n-th
 // operation on site.
 func (inj *Injector) roll(site uint64, n int64) float64 {
-	h := mix(mix(uint64(inj.plan.Seed)^site) ^ uint64(n))
+	h := splitmix.Mix(splitmix.Mix(uint64(inj.plan.Seed)^site) ^ uint64(n))
 	return float64(h>>11) / (1 << 53)
 }
 
