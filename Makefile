@@ -114,8 +114,8 @@ traffic-gate:
 # order: consistent-hash routing (same spec → same owner from any entry
 # node), journal shipping to lag zero with byte-identical /compare on all
 # three nodes, work stealing off a pinned backlog, a mid-theft node kill
-# with health-probe reclaim, re-routing straight to a live stand-in (no
-# failed hop on the entry node), stolen-job access-log lines naming both
+# with health-probe reclaim, the dead owner's specs served locally by the
+# entry node (no failed hop to the dead owner), stolen-job access-log lines naming both
 # nodes, lint-clean /metrics, and zero lost accepted jobs. The summary
 # lands in BENCH_cluster.json.
 cluster-smoke:
@@ -128,7 +128,7 @@ cluster-smoke:
 # failure schedule — baseline census identity, an asymmetric partition during
 # stealing (completions die in transit, breaker opens, deadline reclaim
 # takes the loans home, heal closes the breaker through a half-open trial),
-# a latency storm that forces hedged journal fetches, and an origin
+# replication catching up through a journal latency storm, and an origin
 # crash-restart whose truncated journal and new generation force the
 # anti-entropy resync. Zero lost jobs, breaker transitions on /metrics,
 # lint-clean /metrics on every node, and a byte-identical 3-way /compare

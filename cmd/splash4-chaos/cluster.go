@@ -33,9 +33,8 @@ func runCluster(seed int64, outPath, decisionsPath string) error {
 			return fmt.Errorf("writing decision log: %w", err)
 		}
 	}
-	fmt.Printf("cluster-chaos: ok (%d jobs, breaker transitions %d, hedged %d, resyncs %d+%d, repair %dB)\n",
-		rep.JobsTotal, rep.BreakerTransitions, rep.HedgedOnB,
-		rep.ResyncsOnB, rep.ResyncsOnC, rep.RepairBytesOnB)
+	fmt.Printf("cluster-chaos: ok (%d jobs, breaker transitions %d, resyncs %d+%d, repair %dB)\n",
+		rep.JobsTotal, rep.BreakerTransitions, rep.ResyncsOnB, rep.ResyncsOnC, rep.RepairBytesOnB)
 	return nil
 }
 

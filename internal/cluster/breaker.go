@@ -5,14 +5,19 @@ import (
 	"time"
 )
 
-// Per-peer circuit breaking and retry budgeting. A flapping or partitioned
-// peer turns every exchange into a timeout; without a breaker each loop
-// (prober, shipper, stealer, router) pays that timeout on every tick and
-// the node's whole cluster layer slows to the sick peer's pace. The
-// breaker converts repeated failure into fast local refusal, the retry
-// budget caps how much extra traffic retries may add while things are
-// bad, and both recover on their own: the breaker by letting one trial
-// exchange through after a cooldown, the budget by refilling with time.
+// Per-peer circuit breaking. A flapping or partitioned peer turns every
+// exchange into a timeout; without a breaker each loop (shipper, stealer,
+// router) pays that timeout on every tick and the node's whole cluster
+// layer slows to the sick peer's pace. The breaker converts repeated
+// failure into fast local refusal and recovers on its own by letting one
+// trial exchange through after a cooldown.
+
+// The breaker judges the failure rate over a window of breakerWindow
+// outcomes, and may trip only once breakerMinSamples are in.
+const (
+	breakerWindow     = 20
+	breakerMinSamples = 5
+)
 
 // Breaker states, exposed as splash4d_peer_breaker_state.
 const (
@@ -55,20 +60,8 @@ type breaker struct {
 	transitions int64
 }
 
-// newBreaker sizes the window and cooldown; zero values take defaults.
+// newBreaker sizes the window, trip floor and cooldown.
 func newBreaker(window, minSamples int, cooldown time.Duration) *breaker {
-	if window <= 0 {
-		window = 20
-	}
-	if minSamples <= 0 {
-		minSamples = 5
-	}
-	if minSamples > window {
-		minSamples = window
-	}
-	if cooldown <= 0 {
-		cooldown = 2 * time.Second
-	}
 	return &breaker{window: make([]bool, window), minSamples: minSamples, cooldown: cooldown}
 }
 
@@ -158,47 +151,4 @@ func (b *breaker) snapshot() (state int32, transitions int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state, b.transitions
-}
-
-// retryBudget is a token bucket bounding retry amplification per peer:
-// first attempts are free, every retry (and every completion re-probe
-// retry) spends one token, and tokens refill with time. When the bucket is
-// dry the caller keeps the first attempt's failure — under a long outage
-// retries stop adding traffic instead of multiplying it.
-type retryBudget struct {
-	mu     sync.Mutex
-	tokens float64
-	burst  float64
-	refill time.Duration // time to mint one token
-	last   time.Time
-}
-
-// newRetryBudget allows at most burst saved-up retries, refilling one
-// token per refill interval; zero values take defaults.
-func newRetryBudget(burst int, refill time.Duration) *retryBudget {
-	if burst <= 0 {
-		burst = 10
-	}
-	if refill <= 0 {
-		refill = 500 * time.Millisecond
-	}
-	return &retryBudget{tokens: float64(burst), burst: float64(burst), refill: refill}
-}
-
-// take spends one retry token, reporting false when the bucket is dry.
-func (rb *retryBudget) take(now time.Time) bool {
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	if !rb.last.IsZero() {
-		rb.tokens += float64(now.Sub(rb.last)) / float64(rb.refill)
-		if rb.tokens > rb.burst {
-			rb.tokens = rb.burst
-		}
-	}
-	rb.last = now
-	if rb.tokens < 1 {
-		return false
-	}
-	rb.tokens--
-	return true
 }

@@ -108,34 +108,3 @@ func TestBreakerMixedWindowBelowHalfStaysClosed(t *testing.T) {
 		t.Fatalf("state %s at half failures, want open", breakerStateName(st))
 	}
 }
-
-// TestRetryBudgetRefills spends the bucket dry and asserts tokens come back
-// at the configured rate, capped at the burst.
-func TestRetryBudgetRefills(t *testing.T) {
-	now := time.Unix(2000, 0)
-	rb := newRetryBudget(3, 100*time.Millisecond)
-	for i := 0; i < 3; i++ {
-		if !rb.take(now) {
-			t.Fatalf("take %d refused within burst", i)
-		}
-	}
-	if rb.take(now) {
-		t.Fatal("take succeeded on an empty bucket")
-	}
-	if rb.take(now.Add(50 * time.Millisecond)) {
-		t.Fatal("take succeeded before a full token refilled")
-	}
-	if !rb.take(now.Add(150 * time.Millisecond)) {
-		t.Fatal("take refused after a token refilled")
-	}
-	// A long idle caps at burst, not unbounded credit.
-	later := now.Add(time.Hour)
-	for i := 0; i < 3; i++ {
-		if !rb.take(later) {
-			t.Fatalf("take %d refused after refill to burst", i)
-		}
-	}
-	if rb.take(later) {
-		t.Fatal("bucket held more than burst after a long idle")
-	}
-}

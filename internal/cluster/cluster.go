@@ -9,7 +9,8 @@
 //
 //   - Routing: Handler wraps the server's API. POST /runs hashes the
 //     normalized spec key on a virtual-node consistent-hash ring and
-//     forwards to the owner (rendezvous fallback while the owner is down);
+//     forwards to the owner (the entry node admits it while the owner is
+//     down);
 //     GET /runs/{id} routes by the node name embedded in the job ID.
 //     X-Request-ID propagates across the hop and a hop-guard header stops
 //     forwarding loops.
@@ -72,35 +73,11 @@ type Config struct {
 	// Transport performs peer exchanges. Nil takes the production HTTP
 	// transport; tests substitute a netfaulty-decorated one.
 	Transport peernet.PeerTransport
-	// BreakerWindow is the per-peer outcome window the circuit breaker
-	// judges failure rate over. Default 20.
-	BreakerWindow int
-	// BreakerMinSamples is the minimum window fill before the breaker may
-	// trip. Default 5.
-	BreakerMinSamples int
 	// BreakerCooldown is how long an open breaker refuses exchanges before
 	// admitting a half-open trial. Default 2s.
 	BreakerCooldown time.Duration
-	// RetryMax caps retries per exchange beyond the first attempt, on
-	// idempotent endpoints only. Default 2; negative disables retries.
-	RetryMax int
-	// RetryBaseDelay is the first backoff step; later steps double, with
-	// deterministic jitter. Default 25ms.
-	RetryBaseDelay time.Duration
-	// RetryBudget is the per-peer retry token bucket's burst size.
-	// Default 10.
-	RetryBudget int
-	// RetryBudgetRefill is the time to mint one retry token. Default 500ms.
-	RetryBudgetRefill time.Duration
-	// HedgeAfter is how long an idempotent read may go unanswered before a
-	// second identical request races it. Default 500ms; negative disables
-	// hedging.
-	HedgeAfter time.Duration
 	// RepairInterval paces the anti-entropy repair pass. Default 2s.
 	RepairInterval time.Duration
-	// RepairBurst caps journal chunks one repair pass pulls per peer while
-	// draining a backlog. Default 64.
-	RepairBurst int
 	// Logf, when set, receives cluster lifecycle messages.
 	Logf func(format string, args ...any)
 }
@@ -139,35 +116,11 @@ func (c *Config) fill() error {
 	if c.Transport == nil {
 		c.Transport = peernet.NewHTTPTransport(c.HTTPTimeout)
 	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = 20
-	}
-	if c.BreakerMinSamples <= 0 {
-		c.BreakerMinSamples = 5
-	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 2 * time.Second
 	}
-	if c.RetryMax == 0 {
-		c.RetryMax = 2
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 25 * time.Millisecond
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 10
-	}
-	if c.RetryBudgetRefill <= 0 {
-		c.RetryBudgetRefill = 500 * time.Millisecond
-	}
-	if c.HedgeAfter == 0 {
-		c.HedgeAfter = 500 * time.Millisecond
-	}
 	if c.RepairInterval <= 0 {
 		c.RepairInterval = 2 * time.Second
-	}
-	if c.RepairBurst <= 0 {
-		c.RepairBurst = 64
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -215,9 +168,8 @@ type peer struct {
 	syncedGen atomic.Uint64
 	_         [56]byte
 
-	// brk and budget are this peer's circuit breaker and retry bucket.
-	brk    *breaker
-	budget *retryBudget
+	// brk is this peer's circuit breaker.
+	brk *breaker
 
 	// syncMu serializes one journal fetch-ingest-advance round against the
 	// repair pass's reset-and-refetch, so two pullers never ingest the
@@ -230,8 +182,7 @@ type peer struct {
 	tail   []byte
 }
 
-// padCounter is one cache-line-isolated counter for the per-endpoint
-// metric arrays.
+// padCounter is one cache-line-isolated counter.
 type padCounter struct {
 	v atomic.Int64
 	_ [56]byte
@@ -263,17 +214,13 @@ type Cluster struct {
 	shipErrors     atomic.Int64
 	_              [56]byte
 
-	// Robustness counters: retries per endpoint (peernet.Endpoints
-	// order), hedged second requests, anti-entropy repair traffic,
-	// replica resyncs, and partition heals observed by the prober.
-	retries        []padCounter // one slot per peernet.Endpoints entry
-	hedgedTotal    padCounter
-	repairBytes    padCounter
-	resyncs        padCounter
-	partitionHeals padCounter
-	// jitterSeq drives deterministic backoff jitter.
-	jitterSeq atomic.Uint64
-	_         [56]byte
+	// Robustness counters: re-probed completion resends, anti-entropy
+	// repair traffic, replica resyncs, and partition heals observed by
+	// the prober.
+	completionResends padCounter
+	repairBytes       padCounter
+	resyncs           padCounter
+	partitionHeals    padCounter
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -294,7 +241,6 @@ func New(cfg Config) (*Cluster, error) {
 		srv:       cfg.Server,
 		peers:     make(map[string]*peer, len(cfg.Peers)),
 		transport: cfg.Transport,
-		retries:   make([]padCounter, len(peernet.Endpoints)),
 		ctx:       ctx,
 		cancel:    cancel,
 	}
@@ -302,8 +248,7 @@ func New(cfg Config) (*Cluster, error) {
 	for id, base := range cfg.Peers {
 		c.peers[id] = &peer{
 			id: id, base: base, replica: resultstore.NewIndex(),
-			brk:    newBreaker(cfg.BreakerWindow, cfg.BreakerMinSamples, cfg.BreakerCooldown),
-			budget: newRetryBudget(cfg.RetryBudget, cfg.RetryBudgetRefill),
+			brk: newBreaker(breakerWindow, breakerMinSamples, cfg.BreakerCooldown),
 		}
 		nodes = append(nodes, id)
 	}
@@ -368,29 +313,12 @@ func (c *Cluster) sleep(d time.Duration) bool {
 	}
 }
 
-// healthyNodes returns the node IDs currently routable: self plus every
-// peer whose last probe succeeded, sorted.
-func (c *Cluster) healthyNodes() []string {
-	nodes := make([]string, 0, len(c.order))
-	for _, id := range c.order {
-		if id == c.cfg.Self || c.peers[id].up.Load() {
-			nodes = append(nodes, id)
-		}
-	}
-	return nodes
-}
-
 // routeOwner resolves the node that should admit a spec with the given
-// routing key right now: the ring owner when routable, otherwise the
-// rendezvous stand-in among healthy nodes, otherwise self (a node serving
-// requests is evidence enough of its own liveness).
+// routing key right now: the ring owner when it is self or up, otherwise
+// self — the same local admission a failed forward hop falls back to.
 func (c *Cluster) routeOwner(key string) string {
-	owner := c.ring.owner(key)
-	if owner == c.cfg.Self || c.peers[owner].up.Load() {
+	if owner := c.ring.owner(key); owner == c.cfg.Self || c.peers[owner].up.Load() {
 		return owner
-	}
-	if stand := rendezvous(key, c.healthyNodes()); stand != "" {
-		return stand
 	}
 	return c.cfg.Self
 }

@@ -122,11 +122,13 @@ func startTestCluster(t *testing.T, ids []string, tweak func(id string, scfg *se
 	// Routing and stealing are meaningless until the mesh sees itself up.
 	deadline := time.Now().Add(5 * time.Second)
 	for _, n := range nodes {
-		for len(n.cl.healthyNodes()) != len(ids) {
-			if time.Now().After(deadline) {
-				t.Fatalf("node %s never saw the full mesh healthy", n.id)
+		for _, p := range n.cl.peers {
+			for !p.up.Load() {
+				if time.Now().After(deadline) {
+					t.Fatalf("node %s never saw peer %s up", n.id, p.id)
+				}
+				time.Sleep(5 * time.Millisecond)
 			}
-			time.Sleep(5 * time.Millisecond)
 		}
 	}
 	return nodes

@@ -175,8 +175,6 @@ func (c *Cluster) start(n *Node, ln net.Listener) {
 		ReclaimAfter:    5 * time.Second,
 		HTTPTimeout:     2 * time.Second,
 		BreakerCooldown: 250 * time.Millisecond,
-		RetryBaseDelay:  5 * time.Millisecond,
-		HedgeAfter:      40 * time.Millisecond,
 		RepairInterval:  100 * time.Millisecond,
 		Logf:            c.logf,
 	})

@@ -32,8 +32,8 @@ type SmokeReport struct {
 //  3. Stealing: slow jobs pinned onto a's single worker; c steals some.
 //  4. Node death: c is killed while it owes a an outcome; a's health
 //     probe flips c down, reclaim re-queues the loans, every job finishes.
-//  5. Re-routing: a spec c owns goes to a live stand-in, with no failed
-//     hop to the dead owner on the entry node.
+//  5. Re-routing: a spec c owns is served locally by the entry node, with
+//     no failed hop to the dead owner.
 //  6. Survivors agree: a and b replicate and answer /compare identically.
 //  7. Audit: /metrics lints clean and no accepted job is lost.
 //  8. Drain: a and b drain, and a's access log names both nodes on
@@ -97,7 +97,7 @@ func Smoke(logf func(string, ...any)) (*SmokeReport, error) {
 
 	// A hop to the dead owner would fail over to local admission on a and
 	// still mint a live ID, so the proof is a's forward-error counter: the
-	// spec must go straight to a live stand-in.
+	// spec must be served locally by a without trying the hop.
 	rerouting := func() {
 		if cSeed == 0 {
 			c.Failf("no probe seed is owned by c (owners %v); the re-route check cannot run", rep.OwnersBySeed)

@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"context"
+	"net/http"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/cluster/netfaulty"
 	"repro/internal/cluster/peernet"
 	"repro/internal/core"
+	"repro/internal/resultstore"
 	"repro/internal/server"
 )
 
@@ -39,7 +43,6 @@ func wedgeVictim(t *testing.T, aGate, bGate chan struct{}) (nodes map[string]*te
 			bFaults = netfaulty.New(peernet.NewHTTPTransport(ccfg.HTTPTimeout),
 				netfaulty.Plan{Seed: faultSeed, Record: 64})
 			ccfg.Transport = bFaults
-			ccfg.RetryBaseDelay = time.Millisecond // keep budgeted retries fast
 		}
 	})
 	return nodes, bFaults
@@ -88,6 +91,46 @@ func finishAll(t *testing.T, nodes map[string]*testNode, ids []string) {
 	}
 }
 
+// TestCallMakesOneAttempt partitions a peer and makes one health call and
+// one journal call to it through a node built by New at default settings:
+// each failed exchange must reach the transport exactly once, because call
+// never retries or hedges. The node is not started, so no background loop
+// shares the transport's operation count.
+func TestCallMakesOneAttempt(t *testing.T) {
+	store, err := resultstore.Open(filepath.Join(t.TempDir(), "a.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	srv, err := server.New(server.Config{
+		Store: store, NodeID: "a", Workers: 1,
+		Resolver: func(name string) (core.Benchmark, error) { return &testBench{name: name}, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	faults := netfaulty.New(peernet.NewHTTPTransport(time.Second), netfaulty.Plan{Seed: faultSeed})
+	faults.Partition("b")
+	// The partition refuses before the wire, so the peer URL is never dialed.
+	cl, err := New(Config{Self: "a", Peers: map[string]string{"b": "http://127.0.0.1:1"}, Server: srv, Transport: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range []struct{ endpoint, path string }{
+		{peernet.EndpointHealth, "/peer/health"},
+		{peernet.EndpointJournal, "/peer/journal?offset=0"},
+	} {
+		before := faults.Report().Ops
+		if _, err := cl.call(context.Background(), cl.peers["b"], ep.endpoint, http.MethodGet, ep.path, nil, nil); err == nil {
+			t.Fatalf("%s call through a partition succeeded", ep.endpoint)
+		}
+		if got := faults.Report().Ops - before; got != 1 {
+			t.Fatalf("%s call made %d transport attempts, want exactly 1", ep.endpoint, got)
+		}
+	}
+}
+
 // TestLateCompletionAfterReclaimIsDiscarded reclaims a stolen job while the
 // thief is still executing it, then lets the thief's completion arrive
 // late: the victim must refuse it (410 Gone), the thief must discard its
@@ -127,9 +170,8 @@ func TestLateCompletionAfterReclaimIsDiscarded(t *testing.T) {
 // endpoint (and only it) so the thief's POST fails in transit while the
 // victim still awaits the outcome: the thief must re-probe GET
 // /peer/stolen, learn the victim is still waiting, and resend exactly once
-// under the retry budget — never blind. With the partition still up the
-// resend fails too, and the job must come home through reclaim, losing
-// nothing.
+// — never blind. With the partition still up the resend fails too, and the
+// job must come home through reclaim, losing nothing.
 //
 //sync4:covers SYNC4-CLUS-005
 func TestFailedCompletionReprobesBeforeResend(t *testing.T) {
@@ -143,17 +185,16 @@ func TestFailedCompletionReprobesBeforeResend(t *testing.T) {
 	bFaults.Partition("a", peernet.EndpointComplete)
 	close(bGate)
 
-	// The resend is observable as one retry on the complete endpoint; it
-	// only happens after the re-probe answered "still awaiting".
-	epComplete := endpointIndex(peernet.EndpointComplete)
+	// The resend is observable on the completion-resend counter; it only
+	// happens after the re-probe answered "still awaiting".
 	deadline := time.Now().Add(10 * time.Second)
-	for b.cl.retries[epComplete].v.Load() == 0 {
+	for b.cl.completionResends.v.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("thief never resent the completion (stealErrors=%d)", b.cl.stealErrors.Load())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := b.cl.retries[epComplete].v.Load(); got != 1 {
+	if got := b.cl.completionResends.v.Load(); got != 1 {
 		t.Fatalf("thief resent the completion %d times, want exactly 1", got)
 	}
 	if got := b.cl.stolenTotal.Load(); got != 0 {

@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/cluster/peernet"
 )
 
 // writeMetrics is the ClusterHooks.Metrics implementation: cluster metric
@@ -57,11 +55,6 @@ func (c *Cluster) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "splash4d_peer_breaker_transitions_total{peer=%q} %d\n", id, transitions)
 	}
 
-	fmt.Fprintf(w, "# HELP splash4d_peer_retries_total Peer exchanges retried after a failure, by endpoint.\n# TYPE splash4d_peer_retries_total counter\n")
-	for i, ep := range peernet.Endpoints {
-		fmt.Fprintf(w, "splash4d_peer_retries_total{endpoint=%q} %d\n", ep, c.retries[i].v.Load())
-	}
-
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -72,7 +65,7 @@ func (c *Cluster) writeMetrics(w io.Writer) {
 	counter("splash4d_journal_ship_rounds_total", "Successful journal tail rounds across all peers.", c.shipRounds.Load())
 	counter("splash4d_journal_ship_errors_total", "Journal tail rounds that failed.", c.shipErrors.Load())
 	counter("splash4d_journal_ship_skipped_total", "Shipped journal lines skipped as malformed.", c.skippedTotal())
-	counter("splash4d_hedged_requests_total", "Idempotent peer reads hedged with a second request after the hedge delay.", c.hedgedTotal.v.Load())
+	counter("splash4d_completion_resends_total", "Stolen-job completions resent once after a re-probe found the victim still awaiting them.", c.completionResends.v.Load())
 	counter("splash4d_repair_bytes_total", "Journal bytes pulled by the anti-entropy repair pass.", c.repairBytes.v.Load())
 	counter("splash4d_journal_resyncs_total", "Replica resyncs forced by an origin journal generation change.", c.resyncs.v.Load())
 	counter("splash4d_partition_heals_total", "Peers observed returning after a down period (down-to-up after first contact).", c.partitionHeals.v.Load())

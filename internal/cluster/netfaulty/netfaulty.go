@@ -2,16 +2,16 @@
 // peernet.PeerTransport decorator (in the mold of sync4/faulty, which
 // plays the same role for synchronization operations) that perturbs peer
 // exchanges according to a seeded, deterministic plan. The cluster's
-// partition-tolerance claim — that breakers, retry budgets, reclaim and
-// anti-entropy repair converge every node back to a byte-identical census —
-// is only credible if it survives hostile networks, not just loopback;
+// partition-tolerance claim — that breakers, reclaim and anti-entropy
+// repair converge every node back to a byte-identical census — is only
+// credible if it survives hostile networks, not just loopback;
 // this package manufactures the hostile networks on demand and makes each
 // one reproducible from a single seed.
 //
 // Fault classes:
 //
 //   - latency: an exchange is held before it reaches the wire, widening
-//     probe gaps and triggering hedged requests;
+//     probe gaps and stretching ship rounds;
 //   - refuse: the exchange fails as if the peer's port were closed;
 //   - cut: the response body is truncated mid-stream after a deterministic
 //     byte count, exercising torn-line tolerance in journal shipping;
@@ -106,16 +106,9 @@ type Plan struct {
 	Record int
 }
 
-// Mild returns a background plan the cluster is expected to ride through
-// without client-visible damage: occasional latency and stale reads, rare
-// refusals, no cuts.
-func Mild(seed uint64) Plan {
-	return Plan{Seed: seed, Latency: 0.05, LatencyMax: 20 * time.Millisecond,
-		Refuse: 0.01, Stale: 0.05, Record: 256}
-}
-
-// Aggressive returns Mild with higher rates plus body cuts; only schedules
-// that end in an explicit heal-and-converge phase should run under it.
+// Aggressive returns a background plan with every probabilistic fault
+// class on, body cuts included; only schedules that end in an explicit
+// heal-and-converge phase should run under it.
 func Aggressive(seed uint64) Plan {
 	return Plan{Seed: seed, Latency: 0.15, LatencyMax: 50 * time.Millisecond,
 		Refuse: 0.05, Cut: 0.05, Stale: 0.1, Record: 256}
@@ -282,13 +275,6 @@ func site(peer, endpoint string) uint64 {
 	return h
 }
 
-// roll returns the deterministic uniform draw in [0, 1) for the n-th
-// exchange on site.
-func (t *Transport) roll(site uint64, n int64) float64 {
-	h := splitmix.Mix(splitmix.Mix(t.plan.Seed^site) ^ uint64(n))
-	return float64(h>>11) / (1 << 53)
-}
-
 // fire decides, counts and optionally records one injection. Caller holds
 // mu.
 func (t *Transport) fire(f Fault, prob float64, s uint64, n int64, peer, endpoint string) bool {
@@ -297,7 +283,7 @@ func (t *Transport) fire(f Fault, prob float64, s uint64, n int64, peer, endpoin
 	}
 	// Offset the draw space per fault class so one exchange consults
 	// independent streams for each class.
-	if t.roll(s^(uint64(f)<<56), n) >= prob {
+	if splitmix.Draw(t.plan.Seed, s^(uint64(f)<<56), n) >= prob {
 		return false
 	}
 	t.inject(f, peer, endpoint, n)
@@ -348,7 +334,7 @@ func (t *Transport) decide(call *peernet.PeerCall) verdict {
 
 	if v.hold == 0 && t.fire(FaultLatency, t.plan.Latency, s, n, call.Peer, call.Endpoint) {
 		// Deterministic fraction of the bound, never zero.
-		frac := t.roll(s^(uint64(FaultLatency)<<56)^(1<<63), n)
+		frac := splitmix.Draw(t.plan.Seed, s^(uint64(FaultLatency)<<56)^(1<<63), n)
 		v.hold = time.Duration(float64(t.plan.latencyMax()) * (0.25 + 0.75*frac))
 	}
 	if t.fire(FaultRefuse, t.plan.Refuse, s, n, call.Peer, call.Endpoint) {

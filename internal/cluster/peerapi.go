@@ -203,9 +203,8 @@ func (c *Cluster) probeLoop(p *peer) {
 	}
 }
 
-// fetchHealth performs one health probe round trip through the transport
-// stack (hedged and budget-retried, never breaker-gated: the probe is the
-// liveness oracle everything else keys off).
+// fetchHealth performs one health probe round trip (never breaker-gated:
+// the probe is the liveness oracle everything else keys off).
 func (c *Cluster) fetchHealth(p *peer) (healthView, error) {
 	var hv healthView
 	resp, err := c.call(c.ctx, p, peernet.EndpointHealth, http.MethodGet, "/peer/health", nil, nil)

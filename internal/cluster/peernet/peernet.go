@@ -5,8 +5,8 @@
 // be decorated: cluster/netfaulty wraps any PeerTransport in seeded,
 // deterministic network faults (latency, refusal, mid-body cuts, stale
 // replays, directed partitions), and internal/cluster layers per-peer
-// circuit breakers and retry budgets on top of whichever transport it is
-// given. HTTPTransport is the production implementation.
+// circuit breakers on top of whichever transport it is given.
+// HTTPTransport is the production implementation.
 package peernet
 
 import (
@@ -20,7 +20,7 @@ import (
 
 // Endpoint names one peer-exchange kind. Calls carry the endpoint so
 // decorators can make per-endpoint decisions (a fault plan that only slows
-// journal tails, a breaker policy that never blind-retries completions)
+// journal tails, a breaker that lets health probes through)
 // without parsing URLs.
 const (
 	EndpointHealth   = "health"   // GET /peer/health
@@ -31,17 +31,10 @@ const (
 	EndpointForward  = "forward"  // proxied client request (/runs...)
 )
 
-// Endpoints lists every endpoint in the canonical order metric emitters
-// iterate, so labeled series appear in a stable order.
-var Endpoints = []string{
-	EndpointHealth, EndpointSteal, EndpointComplete,
-	EndpointStolenQ, EndpointJournal, EndpointForward,
-}
-
 // PeerCall is one outbound peer exchange. Peer is the target's node ID —
 // decorators key decisions on it rather than the URL, which embeds
-// ephemeral test ports. Body is a byte slice, not a reader, so a retry or
-// hedge can replay the call without coordination.
+// ephemeral test ports. Body is a byte slice, not a reader, so the
+// completion resend can replay the call without coordination.
 type PeerCall struct {
 	Peer     string
 	Endpoint string

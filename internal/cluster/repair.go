@@ -14,12 +14,17 @@ package cluster
 //
 //   - Backlog after a heal: a partition or latency storm leaves the
 //     replica many chunks behind. The ship loop would drain that at one
-//     chunk per ShipInterval; repair drains it in a bounded burst so
-//     /compare census identity returns promptly after the heal.
+//     chunk per ShipInterval; repair drains it in a burst of at most
+//     repairBurst chunks so /compare census identity returns promptly
+//     after the heal.
 //
 // Repair traffic is visible: splash4d_repair_bytes_total counts every
 // byte the pass pulled, splash4d_journal_resyncs_total every
 // generation-change resync.
+
+// repairBurst caps the journal chunks one repair pass pulls per peer while
+// draining a backlog.
+const repairBurst = 64
 
 // repairLoop runs the periodic anti-entropy pass over every peer.
 //
@@ -67,7 +72,7 @@ func (c *Cluster) repairPeer(p *peer) {
 		c.repairBytes.v.Add(int64(n))
 	}
 	// Drain backlog in a bounded burst.
-	for i := 0; i < c.cfg.RepairBurst && p.shipLag() > 0; i++ {
+	for i := 0; i < repairBurst && p.shipLag() > 0; i++ {
 		n, err := c.fetchJournal(p)
 		if err != nil || n == 0 {
 			return

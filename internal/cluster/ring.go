@@ -5,18 +5,14 @@ import (
 	"strconv"
 )
 
-// Job routing: a consistent-hash ring over the configured node set, with a
-// rendezvous-hash fallback for the moments a node is down.
+// Job routing: a consistent-hash ring over the configured node set.
 //
 // The ring is built once, from every configured node — membership does not
 // follow health. That keeps ownership stable: a spec's owner is the same on
 // every node and across restarts, so singleflight dedup and journal
 // placement agree cluster-wide. Health enters at routing time instead: when
-// the ring owner is unhealthy, the router picks a stand-in by rendezvous
-// hashing over the currently-healthy nodes, which (a) spreads one dead
-// node's keyspace evenly over the survivors instead of dumping it on the
-// next ring neighbor, and (b) converges — every node that agrees on the
-// healthy set agrees on the stand-in.
+// the ring owner is down, the entry node admits the spec itself (see
+// routeOwner).
 
 // ringVnodes is how many virtual nodes each node projects onto the ring.
 // 64 keeps the keyspace split within a few percent of even for small
@@ -80,20 +76,4 @@ func (r *ring) owner(key string) string {
 		i = 0
 	}
 	return r.points[i].node
-}
-
-// rendezvous returns the highest-random-weight choice for key among nodes
-// ("" when nodes is empty). Used as the fallback when the ring owner is
-// unhealthy: every node hashing over the same healthy set picks the same
-// stand-in, and removing one node only moves that node's keys.
-func rendezvous(key string, nodes []string) string {
-	var best string
-	var bestHash uint64
-	for _, n := range nodes {
-		h := fnv64a(n + "@" + key)
-		if best == "" || h > bestHash || (h == bestHash && n < best) {
-			best, bestHash = n, h
-		}
-	}
-	return best
 }

@@ -60,31 +60,3 @@ func TestRingRemovalOnlyMovesTheRemovedNodesKeys(t *testing.T) {
 		t.Fatal("sample gave node c no keys; spread test should have caught this")
 	}
 }
-
-func TestRendezvousPicksHealthyStandIn(t *testing.T) {
-	nodes := []string{"a", "b", "c"}
-	counts := map[string]int{}
-	for _, k := range sampleKeys(300) {
-		got := rendezvous(k, nodes)
-		if got != "a" && got != "b" && got != "c" {
-			t.Fatalf("rendezvous(%q) = %q, not a member", k, got)
-		}
-		counts[got]++
-		// Shrinking the candidate set must not move keys whose winner
-		// survives (the minimal-disruption property the fallback relies on
-		// while a node is down).
-		if got != "c" {
-			if again := rendezvous(k, []string{"a", "b"}); again != got {
-				t.Fatalf("rendezvous(%q) moved %s→%s although the winner stayed", k, got, again)
-			}
-		}
-	}
-	for _, id := range nodes {
-		if counts[id] == 0 {
-			t.Errorf("rendezvous never chose %s: %v", id, counts)
-		}
-	}
-	if got := rendezvous("anything", nil); got != "" {
-		t.Errorf("rendezvous with no candidates = %q, want empty", got)
-	}
-}

@@ -16,11 +16,11 @@ import (
 // server's public API with two routed paths:
 //
 //   - POST /runs: the normalized spec key is hashed on the ring; when the
-//     owner is another (healthy) node the request is proxied there, so
+//     owner is another node that is up the request is proxied there, so
 //     identical specs land — and singleflight-dedup — on the same node no
-//     matter which node the client hit. If the hop fails at the transport
-//     level the job is admitted locally instead: availability over
-//     placement.
+//     matter which node the client hit. If the owner is down, or the hop
+//     fails at the transport level, the job is admitted locally instead:
+//     availability over placement.
 //
 //   - GET /runs/{id} and /runs/{id}/events: clustered job IDs embed their
 //     owner ("r-<node>-<seq>"); requests for another node's job proxy to
@@ -138,10 +138,8 @@ func JobOwner(id string) string {
 // the hop failed before any response byte was written — including an open
 // circuit breaker failing the hop without a network attempt — in which
 // case the caller serves locally; once relaying has begun, failures
-// terminate the response as-is. The hop rides the transport stack as a
-// single breaker-gated attempt: never retried (the local fallback is
-// faster and always available) and never hedged (the body may be a
-// long-lived SSE stream, which must not be buffered).
+// terminate the response as-is. The hop is a single breaker-gated attempt
+// whose body streams unbuffered (it may be a long-lived SSE stream).
 func (c *Cluster) forward(w http.ResponseWriter, r *http.Request, owner string, body []byte) bool {
 	p := c.peers[owner]
 	if p == nil {

@@ -101,23 +101,19 @@ func shippingCluster(t *testing.T) *Cluster {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	// Retries and hedging off: the test asserts exactly one journal fetch
-	// per ship round.
-	cfg := Config{Self: "follower", Logf: t.Logf, RetryMax: -1, HedgeAfter: -1}
 	return &Cluster{
-		cfg:       cfg,
+		cfg:       Config{Self: "follower", Logf: t.Logf},
 		transport: peernet.NewHTTPTransport(5 * time.Second),
-		retries:   make([]padCounter, len(peernet.Endpoints)),
 		ctx:       ctx,
 	}
 }
 
-// testPeer builds a peer wired for direct c.call use: breaker and retry
-// budget at defaults, replica empty.
+// testPeer builds a peer wired for direct c.call use: breaker at the
+// package window and a 2s cooldown, replica empty.
 func testPeer(id, base string) *peer {
 	return &peer{
 		id: id, base: base, replica: resultstore.NewIndex(),
-		brk: newBreaker(0, 0, 0), budget: newRetryBudget(0, 0),
+		brk: newBreaker(breakerWindow, breakerMinSamples, 2*time.Second),
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"repro/internal/cluster/peernet"
 	"repro/internal/server"
@@ -120,12 +119,7 @@ func (c *Cluster) runStolen(victim *peer, sj server.StolenJob) {
 		if !c.victimAwaits(victim, sj.ID) {
 			return // landed, reclaimed, or unknowable: never resend blind
 		}
-		if !victim.budget.take(time.Now()) {
-			return // retry budget dry; the reclaim deadline owns the job
-		}
-		if i := endpointIndex(peernet.EndpointComplete); i >= 0 {
-			c.retries[i].v.Add(1)
-		}
+		c.completionResends.v.Add(1)
 		status, err = c.postCompletion(victim, body)
 		if err != nil {
 			c.stealErrors.Add(1)
