@@ -211,7 +211,7 @@ func (in *instance) Verify() error {
 	}
 	ref := make([]complex128, in.n)
 	copy(ref, in.orig)
-	recursiveFFT(ref)
+	recursiveFFT(ref, make([]complex128, in.n), twiddles(in.n), 1)
 
 	var maxMag float64
 	for _, v := range ref {
@@ -239,24 +239,41 @@ func (in *instance) Verify() error {
 	return nil
 }
 
+// twiddles returns the n/2 roots w[k] = exp(-2πik/n) the oracle's
+// butterflies draw from.
+func twiddles(n int) []complex128 {
+	w := make([]complex128, n/2)
+	for k := range w {
+		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
+		w[k] = complex(c, s)
+	}
+	return w
+}
+
 // recursiveFFT is an out-of-band oracle: a different algorithm (recursive
-// decimation-in-time) so a bug in fft1D cannot hide in Verify.
-func recursiveFFT(a []complex128) {
+// decimation-in-time) so a bug in fft1D cannot hide in Verify. It transforms
+// a in place. scratch is at least as long as a and is overwritten; w is the
+// twiddle table of a transform stride·len(a) long, so the roots of a
+// len(a)-point transform are w[k·stride]. Each level splits a into its even
+// and odd halves in scratch and recurses on them with a as their scratch,
+// so the whole transform allocates nothing.
+func recursiveFFT(a, scratch, w []complex128, stride int) {
 	n := len(a)
 	if n == 1 {
 		return
 	}
-	even := make([]complex128, n/2)
-	odd := make([]complex128, n/2)
-	for i := 0; i < n/2; i++ {
+	h := n / 2
+	even, odd := scratch[:h], scratch[h:n]
+	for i := range even {
 		even[i] = a[2*i]
 		odd[i] = a[2*i+1]
 	}
-	recursiveFFT(even)
-	recursiveFFT(odd)
-	for k := 0; k < n/2; k++ {
-		t := cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(n))) * odd[k]
-		a[k] = even[k] + t
-		a[k+n/2] = even[k] - t
+	lo, hi := a[:h], a[h:n]
+	recursiveFFT(even, lo, w, 2*stride)
+	recursiveFFT(odd, hi, w, 2*stride)
+	for k := range lo {
+		t := w[k*stride] * odd[k]
+		lo[k] = even[k] + t
+		hi[k] = even[k] - t
 	}
 }

@@ -207,13 +207,47 @@ func (in *instance) Verify() error {
 	if !in.ran {
 		return fmt.Errorf("radix: verify before run")
 	}
-	want := make([]int64, in.n)
-	copy(want, in.orig)
-	slices.Sort(want)
+	want := countingSort(in.orig)
 	for i := range want {
 		if in.keys[i] != want[i] {
 			return fmt.Errorf("radix: position %d: got %d want %d", i, in.keys[i], want[i])
 		}
 	}
 	return nil
+}
+
+// oracleBits is the digit width of the verification sort. It differs from
+// the kernel's logRadix, so the oracle walks different digit boundaries
+// and pass counts and a digit-handling bug in the kernel cannot repeat
+// itself in the oracle.
+const (
+	oracleBits = 14
+	oracleMask = 1<<oracleBits - 1
+)
+
+// countingSort returns a sorted copy of keys, which must lie in
+// [0, 2^keyBits): a sequential LSD counting sort with oracleBits-wide
+// digits, the verification oracle.
+func countingSort(keys []int64) []int64 {
+	src := slices.Clone(keys)
+	dst := make([]int64, len(keys))
+	count := make([]int, 1<<oracleBits)
+	for shift := 0; shift < keyBits; shift += oracleBits {
+		clear(count)
+		for _, k := range src {
+			count[(k>>shift)&oracleMask]++
+		}
+		next := 0
+		for d, c := range count {
+			count[d] = next
+			next += c
+		}
+		for _, k := range src {
+			d := (k >> shift) & oracleMask
+			dst[count[d]] = k
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
